@@ -1,12 +1,10 @@
-//! Micro-benchmarks of the concurrent evaluation engine:
+//! Micro-benchmarks of the evaluation hot path:
 //!
-//! - the per-call cost of a footprint/cost-model evaluation with and
-//!   without the simulator's shared memo (a cache hit must be far cheaper
-//!   than a recompute — the hot path queries the same record for
-//!   validity, measurement and clock charge),
-//! - batch population evaluation through `Evaluator::evaluate_batch`
-//!   (parallel prefetch + serial commit) against the plain serial
-//!   `evaluate` loop on a cold evaluator.
+//! - the per-call cost of one simulator query: a full model record, the
+//!   footprint stage alone (what a validity check computes), and the
+//!   validity → measure → clock-charge triple a fresh candidate costs,
+//! - a population measured through `Evaluator::evaluate` on a cold
+//!   evaluator (every setting a memo miss).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cst_gpu_sim::{GpuArch, GpuSim};
@@ -17,95 +15,33 @@ use std::hint::black_box;
 
 fn population(seed: u64, n: usize) -> (SimEvaluator, Vec<Setting>) {
     let spec = suite::spec_by_name("rhs4center").unwrap();
-    // Draw with a throwaway evaluator: its validity checks warm its own
-    // sim memo, so evaluation below must use a fresh one (fresh caches)
-    // to measure the cold hot path.
+    // Draw with a throwaway evaluator so the measured one starts with an
+    // empty measurement memo and an undrawn noise stream.
     let mut drawer = SimEvaluator::new(spec.clone(), GpuArch::a100(), seed);
     let pop: Vec<Setting> = (0..n).map(|_| drawer.random_valid()).collect();
     (SimEvaluator::new(spec, GpuArch::a100(), seed), pop)
 }
 
-fn bench_footprint_cost(c: &mut Criterion) {
+fn bench_record(c: &mut Criterion) {
     let mut g = c.benchmark_group("eval-hot-path");
-    let spec = suite::spec_by_name("rhs4center").unwrap();
-    let cached = GpuSim::new(spec.clone(), GpuArch::a100());
-    let uncached = GpuSim::new(spec, GpuArch::a100()).without_memo();
+    let sim = GpuSim::new(suite::spec_by_name("rhs4center").unwrap(), GpuArch::a100());
     let s = Setting::baseline();
-    // Warm the cache once so the cached variant measures pure hits.
-    let _ = cached.evaluate_full(&s);
-    g.bench_function("record/memo_hit", |b| {
-        b.iter(|| black_box(cached.evaluate_full(black_box(&s))))
-    });
-    g.bench_function("record/uncached", |b| {
-        b.iter(|| black_box(uncached.evaluate_full(black_box(&s))))
-    });
-    // The full validity → measure → clock-charge triple for one fresh
-    // setting: with the memo this computes one record, without it three.
-    g.bench_function("triple/memoized", |b| {
-        b.iter_batched(
-            || GpuSim::new(suite::spec_by_name("rhs4center").unwrap(), GpuArch::a100()),
-            |sim| {
-                black_box(sim.resource_ok(&s));
-                black_box(sim.kernel_time_ms(&s));
-                black_box(sim.eval_cost_s(&s));
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("triple/uncached", |b| {
+    g.bench_function("record", |b| b.iter(|| black_box(sim.evaluate_full(black_box(&s)))));
+    g.bench_function("footprint", |b| b.iter(|| black_box(sim.footprint(black_box(&s)))));
+    g.bench_function("triple", |b| {
         b.iter(|| {
-            black_box(uncached.resource_ok(&s));
-            black_box(uncached.kernel_time_ms(&s));
-            black_box(uncached.eval_cost_s(&s));
+            black_box(sim.resource_ok(&s));
+            black_box(sim.kernel_time_ms(&s));
+            black_box(sim.eval_cost_s(&s));
         })
     });
     g.finish();
 }
 
-/// The structure-of-arrays sweep (`GpuSim::evaluate_population`) against
-/// a per-setting `evaluate_full` loop, both on a cold memo: the columnar
-/// path decodes, footprints and costs the population in stage-major
-/// passes and takes each memo shard lock once per batch instead of once
-/// per setting.
-fn bench_population_soa(c: &mut Criterion) {
-    let mut g = c.benchmark_group("population-soa");
-    g.sample_size(20);
-    let spec = suite::spec_by_name("rhs4center").unwrap();
-    let pop: Vec<Setting> = {
-        let mut d = SimEvaluator::new(spec.clone(), GpuArch::a100(), 9);
-        (0..256).map(|_| d.random_valid()).collect()
-    };
-    g.bench_function("soa/256", |b| {
-        b.iter_batched(
-            || GpuSim::new(spec.clone(), GpuArch::a100()),
-            |sim| black_box(sim.evaluate_population(&pop)),
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("per-setting/256", |b| {
-        b.iter_batched(
-            || GpuSim::new(spec.clone(), GpuArch::a100()),
-            |sim| {
-                let out: Vec<_> = pop.iter().map(|s| sim.evaluate_full(s)).collect();
-                black_box(out)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-fn bench_batch_vs_serial(c: &mut Criterion) {
+fn bench_population(c: &mut Criterion) {
     let mut g = c.benchmark_group("population-eval");
     g.sample_size(10);
     for n in [64usize, 256] {
-        g.bench_function(format!("batch/{n}"), |b| {
-            b.iter_batched(
-                || population(9, n),
-                |(mut e, pop)| black_box(e.evaluate_batch(&pop)),
-                BatchSize::SmallInput,
-            )
-        });
         g.bench_function(format!("serial/{n}"), |b| {
             b.iter_batched(
                 || population(9, n),
@@ -120,5 +56,5 @@ fn bench_batch_vs_serial(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_footprint_cost, bench_population_soa, bench_batch_vs_serial);
+criterion_group!(benches, bench_record, bench_population);
 criterion_main!(benches);

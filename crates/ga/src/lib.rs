@@ -9,9 +9,9 @@
 //! - [`GaState::step`]: one synchronous generation at a time, letting the
 //!   caller evaluate individuals itself (csTuner interleaves evaluation
 //!   with virtual-clock accounting and the CV(top-n) approximation stop).
-//! - [`IslandGa::run_parallel`]: one OS thread per island with
-//!   channel-based ring migration — the faithful analogue of the MPI
-//!   deployment for evaluators that are cheap and `Sync`.
+//! - [`IslandGa::run_serial`]: a self-contained run over a fixed number
+//!   of generations, for fitness functions that need no bookkeeping
+//!   between evaluations (csTuner's PMNF screening).
 //!
 //! Genes are indices into re-indexed value sets (Fig. 7), so every bit
 //! pattern within a gene's range is meaningful; mutation re-draws values

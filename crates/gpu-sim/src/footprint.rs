@@ -126,6 +126,14 @@ pub struct Footprint {
     pub merged_pts: u64,
 }
 
+impl Footprint {
+    /// Whether the setting launches without spilling registers or
+    /// overflowing shared memory.
+    pub fn resource_ok(&self) -> bool {
+        !self.spilled && !self.shmem_overflow && self.tb_per_sm > 0
+    }
+}
+
 /// Compute the footprint. Pure and cheap (a few hundred FLOPs), so tuners
 /// can call it millions of times.
 pub fn footprint(spec: &StencilSpec, arch: &GpuArch, s: &Setting, mp: &ModelParams) -> Footprint {

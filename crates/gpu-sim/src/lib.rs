@@ -15,10 +15,10 @@
 //! - [`metrics`]: Nsight-style metric vectors for the paper's
 //!   metric-combination stage (§IV-D).
 //! - [`precomp`]: setting-independent model tables hoisted out of the
-//!   evaluation hot path, with a structure-of-arrays batch sweep —
-//!   bit-identical to the direct [`footprint`]/[`cost`] composition.
-//! - [`registry`]: opt-in process-wide memo sharing keyed by
-//!   (stencil, arch), so concurrent serve sessions hit each other's cache.
+//!   evaluation hot path — bit-identical to the direct
+//!   [`footprint`]/[`cost`] composition.
+//! - [`registry`]: the empty shared-memo listing the wall-time benchmark
+//!   still reads.
 //! - [`valid`]: the composed explicit+implicit validity check ("only
 //!   non-spilled parameter settings are explored", §IV-B).
 //! - [`clock`]: the virtual wall clock that charges per-evaluation compile
@@ -36,7 +36,6 @@ pub mod clock;
 pub mod cost;
 pub mod fault;
 pub mod footprint;
-pub mod memo;
 pub mod metrics;
 pub mod precomp;
 pub mod registry;
@@ -48,8 +47,7 @@ pub use clock::VirtualClock;
 pub use cost::CostBreakdown;
 pub use fault::{FaultKind, FaultProfile, FaultStats};
 pub use footprint::{Footprint, ModelParams};
-pub use memo::{EvalRecord, MemoStats, SimMemo};
 pub use metrics::{MetricsReport, METRIC_NAMES, N_METRICS};
-pub use precomp::ModelPrecomp;
-pub use sim::{noisy_measurement, FootprintView, GpuSim};
+pub use precomp::{EvalRecord, ModelPrecomp};
+pub use sim::{noisy_measurement, GpuSim};
 pub use valid::{Invalid, ValidSpace};

@@ -24,14 +24,32 @@
 use crate::arch::GpuArch;
 use crate::cost::CostBreakdown;
 use crate::footprint::{Footprint, ModelParams};
-use crate::memo::EvalRecord;
 use cst_space::Setting;
 use cst_stencil::{StencilClass, StencilSpec};
 
+/// Everything the tuner needs about one setting: the resource footprint,
+/// the full cost breakdown (whose `total_ms` is the modeled kernel time)
+/// and the virtual-clock charge in seconds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalRecord {
+    /// Resource footprint (registers, shared memory, occupancy, traffic).
+    pub footprint: Footprint,
+    /// Cost breakdown; `cost.total_ms` is the modeled kernel time.
+    pub cost: CostBreakdown,
+    /// Wall-clock seconds charged to the tuning clock per evaluation.
+    pub cost_s: f64,
+}
+
+impl EvalRecord {
+    /// Modeled kernel time in milliseconds.
+    pub fn time_ms(&self) -> f64 {
+        self.cost.total_ms
+    }
+}
+
 /// Per-setting values decoded once per record. The accessor calls on
 /// [`Setting`] are cheap, but the three model stages used to re-decode
-/// them independently; the batch path decodes a whole population into a
-/// column of these before running each stage over the column.
+/// them independently.
 #[derive(Debug, Clone)]
 struct Decoded {
     streaming: bool,
@@ -504,17 +522,15 @@ impl ModelPrecomp {
         EvalRecord { footprint, cost, cost_s }
     }
 
-    /// Batch evaluation: one output column of records, computed by a
-    /// single fused sweep. An earlier stage-major variant (materialize a
-    /// `Decoded` column, then a `Footprint` column, then costs) measured
-    /// ~30% *slower* here — each stage's working set fits in registers,
-    /// so spilling intermediates to memory between stages costs more than
-    /// the instruction-cache locality buys. The batch-level win lives in
-    /// [`crate::SimMemo::get_or_insert_batch`], which resolves the whole
-    /// column with one lock round per shard. Record `i` is bit-identical
-    /// to `record(&batch[i])`.
-    pub fn record_batch(&self, batch: &[Setting]) -> Vec<EvalRecord> {
-        batch.iter().map(|s| self.record(s)).collect()
+    /// The footprint stage alone, for resource checks.
+    pub fn footprint(&self, s: &Setting) -> Footprint {
+        self.footprint_stage(&Decoded::new(s))
+    }
+
+    /// The footprint and cost stages, without the clock charge.
+    pub fn cost(&self, s: &Setting) -> CostBreakdown {
+        let d = Decoded::new(s);
+        self.cost_stage(&d, &self.footprint_stage(&d))
     }
 }
 
@@ -614,20 +630,6 @@ mod tests {
         for _ in 0..40 {
             let s = space.random_raw(&mut rng);
             assert_bit_identical(&pre.record(&s), &direct_record(&spec, &arch, &s, &mp));
-        }
-    }
-
-    #[test]
-    fn record_batch_matches_per_setting_records() {
-        let spec = suite::spec_by_name("j3d27pt").unwrap();
-        let pre = ModelPrecomp::new(spec.clone(), GpuArch::a100(), ModelParams::default());
-        let space = OptSpace::for_stencil(&spec);
-        let mut rng = StdRng::seed_from_u64(9);
-        let batch: Vec<Setting> = (0..64).map(|_| space.random_raw(&mut rng)).collect();
-        let column = pre.record_batch(&batch);
-        assert_eq!(column.len(), batch.len());
-        for (s, r) in batch.iter().zip(&column) {
-            assert_bit_identical(r, &pre.record(s));
         }
     }
 }

@@ -1,156 +1,14 @@
-//! Process-wide shared memo registry, keyed by (stencil, arch).
+//! Shared-memo statistics, kept only as an empty listing.
 //!
-//! A `cst-serve` daemon runs many tuning sessions in one process, often on
-//! the same (stencil, architecture) pair. Each session's [`crate::GpuSim`]
-//! normally owns a private [`SimMemo`], so concurrent sessions re-derive
-//! records their siblings already computed. The registry lifts the memo to
-//! process scope: [`shared_memo`] hands every caller with the same
-//! (stencil, arch) content the same [`Arc<SimMemo>`], so sessions hit each
-//! other's cache.
-//!
-//! Sharing is strictly opt-in (see [`crate::GpuSim::enable_shared_memo`]):
-//! library users and tests keep isolated per-sim caches unless they ask,
-//! and the sim-level memo carries no observable state — the model is
-//! deterministic and the run journal's memo counters come from the
-//! evaluator's serial commit path — so a shared cache cannot change any
-//! session's results, only its speed.
-//!
-//! The registry honours `CST_MEMO_CAP` (entries per shared memo, 0 or
-//! unset = unbounded) read once at first use; [`set_shared_memo_cap`]
-//! overrides it at runtime for existing and future entries, which is how
-//! `cst-serve --memo-cap` bounds a long-running daemon's footprint.
+//! The simulator holds no per-setting cache any more, so there is nothing
+//! to share across sessions and nothing to report. What remains here is
+//! the listing's type and an accessor that returns no rows.
 
-use crate::arch::GpuArch;
-use crate::memo::SimMemo;
-use cst_stencil::{StencilClass, StencilShape, StencilSpec};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-struct SharedEntry {
-    stencil: &'static str,
-    arch: &'static str,
-    memo: Arc<SimMemo>,
-}
-
-struct Registry {
-    memos: HashMap<(u64, u64), SharedEntry>,
-    cap: usize,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REG.get_or_init(|| {
-        let cap = std::env::var("CST_MEMO_CAP").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-        Mutex::new(Registry { memos: HashMap::new(), cap })
-    })
-}
-
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-fn fnv_u64(h: &mut u64, v: u64) {
-    fnv_bytes(h, &v.to_le_bytes());
-}
-
-/// Content hash of every [`StencilSpec`] field the model reads, so two
-/// specs that would produce different records never share a memo even if
-/// they share a name.
-fn spec_key(spec: &StencilSpec) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv_bytes(&mut h, spec.name.as_bytes());
-    for &g in &spec.grid {
-        fnv_u64(&mut h, g as u64);
-    }
-    for v in [
-        spec.order,
-        spec.flops,
-        spec.io_arrays,
-        spec.read_arrays,
-        spec.write_arrays,
-        spec.reads_per_point,
-        spec.coefficients,
-    ] {
-        fnv_u64(&mut h, v as u64);
-    }
-    fnv_u64(
-        &mut h,
-        match spec.shape {
-            StencilShape::Star => 0,
-            StencilShape::Box => 1,
-            StencilShape::Hybrid => 2,
-        },
-    );
-    fnv_u64(
-        &mut h,
-        match spec.class {
-            StencilClass::MemoryBound => 0,
-            StencilClass::ComputeBound => 1,
-        },
-    );
-    h
-}
-
-/// Content hash of every [`GpuArch`] field (f64s by bit pattern).
-fn arch_key(arch: &GpuArch) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv_bytes(&mut h, arch.name.as_bytes());
-    for v in [
-        arch.sm_count,
-        arch.max_threads_per_sm,
-        arch.max_tb_per_sm,
-        arch.max_warps_per_sm,
-        arch.regs_per_sm,
-        arch.max_regs_per_thread,
-        arch.shmem_per_sm,
-        arch.shmem_per_tb,
-        arch.const_cache,
-        arch.warp_size,
-    ] {
-        fnv_u64(&mut h, v as u64);
-    }
-    fnv_u64(&mut h, arch.l2_bytes);
-    for v in [arch.dram_gbps, arch.fp64_gflops, arch.launch_us, arch.sync_us, arch.compile_base_s] {
-        fnv_u64(&mut h, v.to_bits());
-    }
-    h
-}
-
-/// The process-wide shared memo for this (stencil, arch) pair, created on
-/// first use with the registry's current cap.
-pub fn shared_memo(spec: &StencilSpec, arch: &GpuArch) -> Arc<SimMemo> {
-    let key = (spec_key(spec), arch_key(arch));
-    let mut reg = registry().lock().unwrap();
-    let cap = reg.cap;
-    Arc::clone(
-        &reg.memos
-            .entry(key)
-            .or_insert_with(|| SharedEntry {
-                stencil: spec.name,
-                arch: arch.name,
-                memo: Arc::new(SimMemo::with_cap(cap)),
-            })
-            .memo,
-    )
-}
-
-/// Set the per-memo entry cap (0 = unbounded) for every existing and
-/// future shared memo, trimming overflowing ones immediately.
-pub fn set_shared_memo_cap(cap: usize) {
-    let mut reg = registry().lock().unwrap();
-    reg.cap = cap;
-    for entry in reg.memos.values() {
-        entry.memo.set_cap(cap);
-    }
-}
-
-/// Observability snapshot of one shared memo: the display names of its
-/// (stencil, arch) pair plus cache traffic counters and occupancy.
-/// Counters are relaxed atomics maintained off the serial commit path —
-/// live metrics only, never an input to any tuning decision.
+/// One shared-memo row: the (stencil, arch) display names plus cache
+/// traffic counters and occupancy.
+///
+/// Exists only for the `wallbench/` benchmark, which still reads these
+/// fields; remove it together with that call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedMemoStats {
     /// Stencil display name (`StencilSpec::name`).
@@ -169,85 +27,10 @@ pub struct SharedMemoStats {
     pub cap: usize,
 }
 
-/// Per-pair stats for every shared memo in the process, sorted by
-/// (stencil, arch) display names so the listing is stable. Distinct
-/// content hashes that share display names (e.g. a tweaked spec under
-/// the same name) appear as separate rows.
+/// Per-pair shared-memo stats: always empty, since no shared memo exists.
+///
+/// Exists only for the `wallbench/` benchmark, which still calls it;
+/// remove it together with that call.
 pub fn shared_memo_stats() -> Vec<SharedMemoStats> {
-    let reg = registry().lock().unwrap();
-    let mut out: Vec<SharedMemoStats> = reg
-        .memos
-        .values()
-        .map(|e| {
-            let s = e.memo.stats();
-            SharedMemoStats {
-                stencil: e.stencil.to_string(),
-                arch: e.arch.to_string(),
-                hits: s.hits,
-                misses: s.misses,
-                evictions: s.evictions,
-                entries: e.memo.len(),
-                cap: e.memo.cap(),
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| (&a.stencil, &a.arch).cmp(&(&b.stencil, &b.arch)));
-    out
-}
-
-/// Number of distinct (stencil, arch) pairs with a shared memo.
-pub fn shared_memo_count() -> usize {
-    registry().lock().unwrap().memos.len()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn same_pair_shares_one_memo_distinct_pairs_do_not() {
-        // Use the synthetic small arch with suite specs so no other test's
-        // registry traffic collides with these keys.
-        let cheby = cst_stencil::spec_by_name("cheby").unwrap();
-        let helm = cst_stencil::spec_by_name("helmholtz").unwrap();
-        let a = shared_memo(&cheby, &GpuArch::small());
-        let b = shared_memo(&cheby, &GpuArch::small());
-        let c = shared_memo(&helm, &GpuArch::small());
-        assert!(Arc::ptr_eq(&a, &b), "same pair must share");
-        assert!(!Arc::ptr_eq(&a, &c), "different stencil must not share");
-        assert!(shared_memo_count() >= 2);
-    }
-
-    #[test]
-    fn stats_listing_is_named_and_sorted() {
-        let spec = cst_stencil::spec_by_name("hypterm").unwrap();
-        let memo = shared_memo(&spec, &GpuArch::small());
-        let _miss = memo.get(&cst_space::Setting::baseline());
-        let stats = shared_memo_stats();
-        let row = stats
-            .iter()
-            .find(|s| s.stencil == "hypterm" && s.arch == GpuArch::small().name)
-            .expect("hypterm row present");
-        assert!(row.misses >= 1, "recorded miss visible: {row:?}");
-        let names: Vec<_> = stats.iter().map(|s| (s.stencil.clone(), s.arch.clone())).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "listing sorted by (stencil, arch)");
-    }
-
-    #[test]
-    fn key_covers_model_fields_not_just_names() {
-        let spec = cst_stencil::spec_by_name("addsgd4").unwrap();
-        let mut tweaked = spec.clone();
-        tweaked.flops += 1;
-        let mut arch = GpuArch::small();
-        arch.dram_gbps += 1.0;
-        assert_ne!(spec_key(&spec), spec_key(&tweaked));
-        assert_ne!(arch_key(&GpuArch::small()), arch_key(&arch));
-        assert!(!Arc::ptr_eq(
-            &shared_memo(&spec, &GpuArch::small()),
-            &shared_memo(&tweaked, &GpuArch::small())
-        ));
-        assert!(!Arc::ptr_eq(&shared_memo(&spec, &GpuArch::small()), &shared_memo(&spec, &arch)));
-    }
+    Vec::new()
 }

@@ -3,9 +3,8 @@
 use crate::arch::GpuArch;
 use crate::cost::CostBreakdown;
 use crate::footprint::{Footprint, ModelParams};
-use crate::memo::{EvalRecord, MemoStats, SimMemo};
 use crate::metrics::{synthesize, MetricsReport};
-use crate::precomp::ModelPrecomp;
+use crate::precomp::{EvalRecord, ModelPrecomp};
 use cst_space::Setting;
 use cst_stencil::StencilSpec;
 use rand::Rng;
@@ -15,6 +14,11 @@ use std::sync::Arc;
 /// stand-in for compiling, launching and profiling kernels on the paper's
 /// A100/V100 testbeds. Deterministic unless measurement noise is requested
 /// via [`GpuSim::measure`].
+///
+/// A stateless view over [`ModelPrecomp`]: every query computes the model
+/// stages it needs afresh. The only cache on the evaluation path is the
+/// evaluator's per-session measurement memo, which makes a repeated
+/// measurement free.
 ///
 /// ```
 /// use cst_gpu_sim::{GpuArch, GpuSim};
@@ -33,17 +37,6 @@ pub struct GpuSim {
     /// also owns the canonical copies of the three inputs. Built once,
     /// shared by clones.
     precomp: Arc<ModelPrecomp>,
-    /// Shared per-setting cache of footprint/cost/eval-cost; `None`
-    /// disables memoization (benchmarking the uncached path). Clones of a
-    /// `GpuSim` share the cache, so the validity check, the measurement
-    /// and the clock charge for one candidate all hit the same record.
-    memo: Option<Arc<SimMemo>>,
-}
-
-/// Memoization defaults on; `CST_NO_MEMO=1` disables it process-wide so
-/// benchmarks can A/B the uncached path without code changes.
-fn memo_enabled() -> bool {
-    std::env::var("CST_NO_MEMO").map(|v| v != "1").unwrap_or(true)
 }
 
 impl GpuSim {
@@ -55,74 +48,13 @@ impl GpuSim {
     /// Build with custom model constants (used by calibration tests and
     /// ablations).
     pub fn with_params(spec: StencilSpec, arch: GpuArch, params: ModelParams) -> Self {
-        let memo = memo_enabled().then(|| Arc::new(SimMemo::new()));
-        GpuSim { precomp: Arc::new(ModelPrecomp::new(spec, arch, params)), memo }
-    }
-
-    /// This simulator with memoization disabled (every call recomputes).
-    pub fn without_memo(mut self) -> Self {
-        self.memo = None;
-        self
-    }
-
-    /// Whether a memo backs this simulator (false under `CST_NO_MEMO=1`
-    /// or after [`GpuSim::without_memo`]).
-    pub fn has_memo(&self) -> bool {
-        self.memo.is_some()
-    }
-
-    /// Number of settings with cached model output.
-    pub fn memo_len(&self) -> usize {
-        self.memo.as_ref().map_or(0, |m| m.len())
-    }
-
-    /// Monitoring counters of the backing memo (all-zero when disabled).
-    /// Racy-by-design under concurrent prefetch; never journal material.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo.as_ref().map_or_else(MemoStats::default, |m| m.stats())
-    }
-
-    /// Swap the private memo for the process-wide one shared by every
-    /// simulator on the same (stencil, arch) — see [`crate::registry`].
-    /// Strictly opt-in (concurrent `cst-serve` sessions use it so they
-    /// hit each other's cache) and a no-op when memoization is disabled
-    /// (`CST_NO_MEMO=1` / [`GpuSim::without_memo`] semantics win) or when
-    /// the model constants are non-default: the registry key does not
-    /// cover [`ModelParams`], so only default-params simulators may pool.
-    pub fn enable_shared_memo(&mut self) {
-        if self.memo.is_some() && *self.params() == ModelParams::default() {
-            self.memo = Some(crate::registry::shared_memo(self.spec(), self.arch()));
-        }
-    }
-
-    fn compute_record(&self, s: &Setting) -> EvalRecord {
-        self.precomp.record(s)
+        GpuSim { precomp: Arc::new(ModelPrecomp::new(spec, arch, params)) }
     }
 
     /// Everything the tuner needs about `s` — footprint, cost breakdown,
-    /// virtual-clock charge — computed once and cached. This is the single
-    /// entry point the evaluation hot path goes through; `footprint`,
-    /// `kernel_time_ms`, `eval_cost_s` etc. are views onto the record.
-    pub fn evaluate_full(&self, s: &Setting) -> Arc<EvalRecord> {
-        match &self.memo {
-            Some(memo) => memo.get_or_insert_with(s, || self.compute_record(s)),
-            None => Arc::new(self.compute_record(s)),
-        }
-    }
-
-    /// Batch counterpart of [`GpuSim::evaluate_full`]: one memo pass
-    /// resolves the hits, and the distinct misses are evaluated in a
-    /// single structure-of-arrays column sweep
-    /// ([`ModelPrecomp::record_batch`]). Record `i` is the same record a
-    /// serial `evaluate_full` loop would produce for `batch[i]`; only the
-    /// locking and memory layout differ.
-    pub fn evaluate_population(&self, batch: &[Setting]) -> Vec<Arc<EvalRecord>> {
-        match &self.memo {
-            Some(memo) => {
-                memo.get_or_insert_batch(batch, |missing| self.precomp.record_batch(missing))
-            }
-            None => self.precomp.record_batch(batch).into_iter().map(Arc::new).collect(),
-        }
+    /// virtual-clock charge — from one pass over the model stages.
+    pub fn evaluate_full(&self, s: &Setting) -> EvalRecord {
+        self.precomp.record(s)
     }
 
     /// The stencil under test.
@@ -145,21 +77,20 @@ impl GpuSim {
         &self.precomp
     }
 
-    /// Resource footprint of a setting, as a cheap view borrowing the
-    /// cached record (no `Footprint` clone per call).
-    pub fn footprint(&self, s: &Setting) -> FootprintView {
-        FootprintView(self.evaluate_full(s))
+    /// Resource footprint of a setting.
+    pub fn footprint(&self, s: &Setting) -> Footprint {
+        self.precomp.footprint(s)
     }
 
     /// Full cost breakdown of a setting.
     pub fn cost(&self, s: &Setting) -> CostBreakdown {
-        self.evaluate_full(s).cost
+        self.precomp.cost(s)
     }
 
     /// Modeled kernel time in milliseconds (deterministic; infinite when
     /// the setting cannot launch).
     pub fn kernel_time_ms(&self, s: &Setting) -> f64 {
-        self.evaluate_full(s).time_ms()
+        self.cost(s).total_ms
     }
 
     /// One "measured" run: the modeled time with multiplicative Gaussian
@@ -169,45 +100,10 @@ impl GpuSim {
     }
 }
 
-/// A borrowed view of a cached setting's [`Footprint`]: holds the
-/// [`EvalRecord`] `Arc` instead of cloning the 23-field struct out of it
-/// on every [`GpuSim::footprint`] call. Dereferences to [`Footprint`], so
-/// field reads and `&Footprint` arguments work unchanged.
-#[derive(Debug, Clone)]
-pub struct FootprintView(Arc<EvalRecord>);
-
-impl FootprintView {
-    /// An owned copy, for callers that must outlive the cache entry
-    /// independently.
-    pub fn to_footprint(&self) -> Footprint {
-        self.0.footprint.clone()
-    }
-}
-
-impl std::ops::Deref for FootprintView {
-    type Target = Footprint;
-    fn deref(&self) -> &Footprint {
-        &self.0.footprint
-    }
-}
-
-impl PartialEq for FootprintView {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.footprint == other.0.footprint
-    }
-}
-
-impl PartialEq<Footprint> for FootprintView {
-    fn eq(&self, other: &Footprint) -> bool {
-        self.0.footprint == *other
-    }
-}
-
 /// Apply one draw of measurement noise to a modeled kernel time — the
-/// stochastic half of [`GpuSim::measure`], split out so batch evaluators
-/// can reuse a cached [`EvalRecord`]'s deterministic time while drawing
-/// noise in canonical commit order. Non-finite times consume no
-/// randomness and pass through unchanged.
+/// stochastic half of [`GpuSim::measure`], split out so the evaluator can
+/// reuse an [`EvalRecord`]'s deterministic time. Non-finite times consume
+/// no randomness and pass through unchanged.
 pub fn noisy_measurement(t: f64, rng: &mut impl Rng) -> f64 {
     if !t.is_finite() {
         return t;
@@ -228,7 +124,7 @@ impl GpuSim {
     /// Whether the setting launches without spilling registers or
     /// overflowing shared memory.
     pub fn resource_ok(&self, s: &Setting) -> bool {
-        self.evaluate_full(s).resource_ok()
+        self.footprint(s).resource_ok()
     }
 
     /// Wall-clock seconds charged to the virtual tuning clock for
@@ -256,125 +152,6 @@ mod tests {
         let mean = runs.iter().sum::<f64>() / runs.len() as f64;
         assert!((mean / t - 1.0).abs() < 0.01, "mean {mean} vs model {t}");
         assert!(runs.iter().any(|&r| r != t), "noise must not be degenerate");
-    }
-
-    #[test]
-    fn memoized_results_match_uncached() {
-        let spec = suite::spec_by_name("j3d27pt").unwrap();
-        let cached = GpuSim::new(spec.clone(), GpuArch::a100());
-        let uncached = GpuSim::new(spec, GpuArch::a100()).without_memo();
-        let mut rng = StdRng::seed_from_u64(7);
-        let vs = crate::valid::ValidSpace::new(
-            cst_space::OptSpace::for_stencil(cached.spec()),
-            cached.clone(),
-        );
-        for _ in 0..50 {
-            let s = vs.random_valid(&mut rng);
-            // Query twice so the second pass exercises the cache hit.
-            for _ in 0..2 {
-                assert_eq!(cached.kernel_time_ms(&s), uncached.kernel_time_ms(&s));
-                assert_eq!(cached.eval_cost_s(&s), uncached.eval_cost_s(&s));
-                assert_eq!(cached.footprint(&s), uncached.footprint(&s));
-                assert_eq!(cached.resource_ok(&s), uncached.resource_ok(&s));
-            }
-        }
-        assert!(cached.memo_len() > 0);
-        assert_eq!(uncached.memo_len(), 0);
-    }
-
-    #[test]
-    fn clones_share_the_memo() {
-        let sim = GpuSim::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100());
-        let clone = sim.clone();
-        let _ = sim.kernel_time_ms(&Setting::baseline());
-        assert_eq!(clone.memo_len(), 1, "clone must see the original's cache");
-        // The full hot-path triple for one candidate costs one record.
-        let _ = clone.resource_ok(&Setting::baseline());
-        let _ = clone.eval_cost_s(&Setting::baseline());
-        assert_eq!(sim.memo_len(), 1);
-    }
-
-    #[test]
-    fn population_matches_serial_evaluate_full() {
-        let sim = GpuSim::new(suite::spec_by_name("helmholtz").unwrap(), GpuArch::a100());
-        let vs = crate::valid::ValidSpace::new(
-            cst_space::OptSpace::for_stencil(sim.spec()),
-            sim.clone(),
-        );
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut batch: Vec<Setting> = (0..48).map(|_| vs.random_valid(&mut rng)).collect();
-        batch.push(batch[5]); // duplicate exercises the shared-Arc path
-        let pop = sim.evaluate_population(&batch);
-        assert_eq!(pop.len(), batch.len());
-        for (s, r) in batch.iter().zip(&pop) {
-            let serial = sim.evaluate_full(s);
-            assert!(Arc::ptr_eq(r, &serial), "population and serial must share the cache entry");
-        }
-        assert!(Arc::ptr_eq(&pop[5], &pop[48]), "duplicate settings share one record");
-    }
-
-    #[test]
-    fn population_without_memo_matches_memoized_results() {
-        let spec = suite::spec_by_name("j3d7pt").unwrap();
-        let cached = GpuSim::new(spec.clone(), GpuArch::v100());
-        let uncached = GpuSim::new(spec, GpuArch::v100()).without_memo();
-        assert!(cached.has_memo() && !uncached.has_memo());
-        let batch: Vec<Setting> = (1..=16u32)
-            .map(|v| {
-                let mut s = Setting::baseline();
-                s.0[ParamId::UFy.index()] = v.next_power_of_two();
-                s
-            })
-            .collect();
-        let a = cached.evaluate_population(&batch);
-        let b = uncached.evaluate_population(&batch);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.time_ms().to_bits(), y.time_ms().to_bits());
-            assert_eq!(x.cost_s.to_bits(), y.cost_s.to_bits());
-        }
-        assert_eq!(uncached.memo_len(), 0, "no-memo population path must not cache");
-    }
-
-    #[test]
-    fn shared_memo_is_opt_in_and_respects_gates() {
-        // Distinct (stencil, arch) from other tests so registry state
-        // stays private to this assertion.
-        let spec = suite::spec_by_name("addsgd6").unwrap();
-        let mut a = GpuSim::new(spec.clone(), GpuArch::small());
-        let mut b = GpuSim::new(spec.clone(), GpuArch::small());
-        let plain = GpuSim::new(spec.clone(), GpuArch::small());
-        a.enable_shared_memo();
-        b.enable_shared_memo();
-        let _ = a.kernel_time_ms(&Setting::baseline());
-        assert_eq!(b.memo_len(), 1, "opted-in sims share one cache");
-        assert_eq!(plain.memo_len(), 0, "non-opted sims keep a private cache");
-        // Custom model params must not pool under a key that ignores them.
-        let mut custom = GpuSim::with_params(
-            spec.clone(),
-            GpuArch::small(),
-            crate::footprint::ModelParams { ilp_gain: 0.2, ..Default::default() },
-        );
-        custom.enable_shared_memo();
-        let _ = custom.kernel_time_ms(&Setting::baseline().with(ParamId::UFx, 2));
-        assert_eq!(b.memo_len(), 1, "non-default params stay out of the shared memo");
-        // `without_memo` wins over sharing.
-        let mut off = GpuSim::new(spec, GpuArch::small()).without_memo();
-        off.enable_shared_memo();
-        assert!(!off.has_memo());
-    }
-
-    #[test]
-    fn footprint_view_derefs_and_compares() {
-        let sim = GpuSim::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100());
-        let s = Setting::baseline();
-        let view = sim.footprint(&s);
-        assert!(!view.spilled);
-        assert!(view.occupancy > 0.0);
-        assert_eq!(view, sim.footprint(&s));
-        let owned = view.to_footprint();
-        assert_eq!(view, owned);
-        // The view borrows the cached record rather than cloning it.
-        assert_eq!(sim.memo_len(), 1);
     }
 
     #[test]

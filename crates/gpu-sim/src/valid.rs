@@ -67,12 +67,6 @@ impl ValidSpace {
         &self.sim
     }
 
-    /// Opt this space's simulator into the process-wide shared memo —
-    /// see [`GpuSim::enable_shared_memo`] for the gating rules.
-    pub fn enable_shared_memo(&mut self) {
-        self.sim.enable_shared_memo();
-    }
-
     /// Full validity check: explicit constraints, then resources.
     pub fn check(&self, s: &Setting) -> Result<(), Invalid> {
         self.space.check_explicit(s).map_err(Invalid::Explicit)?;

@@ -18,13 +18,12 @@
 //! modulo the explicitly wall-clock `wall_*` fields.
 
 use crate::session::{run_session, DoneInfo, TuneRequest};
-use cst_gpu_sim::registry::{shared_memo_stats, SharedMemoStats};
 use cst_obs::JournalStore;
 use cst_telemetry::metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot};
 use cst_telemetry::{strip_wall_fields, Telemetry};
 use cst_transfer::KnowledgeBase;
 use cstuner_core::CancelToken;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -238,11 +237,6 @@ struct MgrShared {
     /// Sessions that reached a terminal state.
     completed: u64,
     shutting_down: bool,
-    /// (stencil, arch) pairs this daemon's sessions have tuned — the
-    /// metrics snapshot reports shared-memo stats for these pairs only,
-    /// so concurrent daemons in one process (tests, future worker
-    /// splits) don't leak each other's cache traffic into a snapshot.
-    memo_pairs: BTreeSet<(String, String)>,
 }
 
 /// Sessions by lifecycle state at one instant.
@@ -288,8 +282,6 @@ pub struct OpsSnapshot {
     pub counts: SessionCounts,
     /// Registry snapshot (counters, gauges, histograms).
     pub snapshot: MetricsSnapshot,
-    /// Shared-memo stats for the pairs this daemon has tuned.
-    pub memo: Vec<SharedMemoStats>,
     /// Milliseconds since the manager was created (wall-class).
     pub wall_uptime_ms: f64,
 }
@@ -342,7 +334,6 @@ impl SessionManager {
                 active: 0,
                 completed: 0,
                 shutting_down: false,
-                memo_pairs: BTreeSet::new(),
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
@@ -404,20 +395,15 @@ impl SessionManager {
     /// the snapshot, so they can never drift from the states the same
     /// frame's `sessions` section shows.
     pub fn ops_snapshot(&self) -> OpsSnapshot {
-        let (queued, running, pairs) = {
+        let (queued, running) = {
             let g = self.shared.lock().expect("manager lock");
-            (g.queue.len(), g.active - g.queue.len(), g.memo_pairs.clone())
+            (g.queue.len(), g.active - g.queue.len())
         };
         self.metrics.gauge("queue_depth").set(queued as i64);
         self.metrics.gauge("sessions_running").set(running as i64);
-        let memo = shared_memo_stats()
-            .into_iter()
-            .filter(|s| pairs.contains(&(s.stencil.clone(), s.arch.clone())))
-            .collect();
         OpsSnapshot {
             counts: self.counts_by_state(),
             snapshot: self.metrics.snapshot(),
-            memo,
             wall_uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
         }
     }
@@ -443,17 +429,6 @@ impl SessionManager {
         g.sessions.insert(id, Arc::clone(&session));
         g.queue.push_back(id);
         g.active += 1;
-        // The registry reports display names (`StencilSpec::name`,
-        // `GpuArch::name`), which differ from the request's spelling
-        // (e.g. `a100` vs `A100`): store the resolved names so the
-        // snapshot filter actually matches.
-        let stencil = crate::session::find_stencil(&session.request.stencil)
-            .map(|k| k.spec.name.to_string())
-            .unwrap_or_else(|| session.request.stencil.clone());
-        let arch = cst_gpu_sim::GpuArch::by_name(&session.request.arch)
-            .map(|a| a.name.to_string())
-            .unwrap_or_else(|| session.request.arch.clone());
-        g.memo_pairs.insert((stencil, arch));
         self.admission_accepted.inc();
         drop(g);
         self.work_cv.notify_one();

@@ -15,7 +15,6 @@
 
 use crate::manager::{SessionCounts, SessionRow};
 use crate::session::{DoneInfo, FaultSpec, TuneRequest};
-use cst_gpu_sim::registry::SharedMemoStats;
 use cst_telemetry::json::{self, write_escaped, write_f64, Value};
 use cst_telemetry::metrics::{MetricsSnapshot, METRICS_VERSION};
 use std::fmt::Write as _;
@@ -327,15 +326,13 @@ pub fn status_frame(counts: &SessionCounts, rows: &[SessionRow]) -> String {
 /// Field order is part of the determinism contract: every deterministic
 /// section (session counts, counters, gauges, histograms) precedes the
 /// first `wall*` key, and everything wall-clock-derived — uptime, wire
-/// byte totals, request latency digests and the shared-memo stats (whose
-/// hit/miss split is thread-timing-dependent under parallel prefetch) —
-/// is serialized contiguously last, so
+/// byte totals and request latency digests — is serialized contiguously
+/// last, so
 /// [`cst_telemetry::strip_wall_fields`] reduces the frame to a
 /// byte-deterministic core.
 pub fn metrics_frame(
     counts: &SessionCounts,
     snap: &MetricsSnapshot,
-    memo: &[SharedMemoStats],
     wall_uptime_ms: f64,
 ) -> String {
     let mut s = format!("{{\"type\":\"metrics\",\"proto\":{PROTO_VERSION},");
@@ -345,22 +342,7 @@ pub fn metrics_frame(
     s.push_str(",\"wall_uptime_ms\":");
     let _ = write!(s, "{wall_uptime_ms:.3}");
     snap.write_wall(&mut s);
-    s.push_str(",\"wall_memo\":[");
-    for (i, m) in memo.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"stencil\":");
-        write_escaped(&mut s, &m.stencil);
-        s.push_str(",\"arch\":");
-        write_escaped(&mut s, &m.arch);
-        let _ = write!(
-            s,
-            ",\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{},\"cap\":{}}}",
-            m.hits, m.misses, m.evictions, m.entries, m.cap
-        );
-    }
-    s.push_str("]}");
+    s.push('}');
     s
 }
 
@@ -397,7 +379,7 @@ fn check_hist_object(name: &str, h: &Value) -> Result<(), String> {
 
 /// Validate one `metrics` frame line: the frame type, versions, every
 /// section's shape (numeric counters/gauges, 16-bucket histogram
-/// digests, named memo rows) and the wall-tail ordering contract (no
+/// digests) and the wall-tail ordering contract (no
 /// deterministic key after the first `wall*` key). This is the
 /// `journal-check`-style validator behind `cstuner metrics-check`.
 pub fn validate_metrics_frame(line: &str) -> Result<(), String> {
@@ -434,22 +416,6 @@ pub fn validate_metrics_frame(line: &str) -> Result<(), String> {
         }
     }
     require_obj(&v, "wall_counters")?;
-    let memo = v
-        .get("wall_memo")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| "missing `wall_memo` array".to_string())?;
-    for row in memo {
-        for key in ["stencil", "arch"] {
-            if row.get(key).and_then(Value::as_str).is_none() {
-                return Err(format!("memo row is missing a string `{key}`"));
-            }
-        }
-        for key in ["hits", "misses", "evictions", "entries", "cap"] {
-            if row.get(key).and_then(Value::as_u64).is_none() {
-                return Err(format!("memo row is missing a numeric `{key}`"));
-            }
-        }
-    }
     // Ordering contract: once a `wall*` key appears, every later key is
     // also wall-class, so strip_wall_fields removes exactly the
     // nondeterministic tail.
@@ -535,6 +501,13 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_malformed_request() {
+        let err = parse_request(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.starts_with("malformed request"), "{err}");
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn session_requests_parse() {
         assert_eq!(
             parse_request(&session_request_line("status", 3)).unwrap(),
@@ -576,7 +549,7 @@ mod tests {
             session_done_frame(1, "failed", None, Some("no valid settings to search")),
             bye_frame(7),
             status_frame(&counts, std::slice::from_ref(&row)),
-            metrics_frame(&counts, &MetricsSnapshot::default(), &[], 12.5),
+            metrics_frame(&counts, &MetricsSnapshot::default(), 12.5),
         ];
         for frame in &frames {
             let v = json::parse(frame).expect("frame is valid JSON");
@@ -598,20 +571,10 @@ mod tests {
         reg.gauge("queue_depth").set(0);
         reg.wall_counter("wall_wire_out_bytes").add(4096);
         reg.wall_hist("wall_req_tune_ms").observe(3.5);
-        let memo = [SharedMemoStats {
-            stencil: "j3d7pt".to_string(),
-            arch: "a100".to_string(),
-            hits: 10,
-            misses: 4,
-            evictions: 0,
-            entries: 4,
-            cap: 0,
-        }];
-        let frame = metrics_frame(&counts, &reg.snapshot(), &memo, 250.0);
+        let frame = metrics_frame(&counts, &reg.snapshot(), 250.0);
         validate_metrics_frame(&frame).expect("frame validates");
         let stripped = cst_telemetry::strip_wall_fields(&frame);
         assert!(!stripped.contains("wall"), "{stripped}");
-        assert!(!stripped.contains("memo"), "memo stats are wall-class: {stripped}");
         json::parse(&stripped).expect("stripped frame stays valid JSON");
         // A second registry with the same deterministic state strips to
         // the same bytes regardless of wall-class traffic.
@@ -619,14 +582,14 @@ mod tests {
         reg2.counter("admission_accepted").inc();
         reg2.gauge("queue_depth").set(0);
         reg2.wall_counter("wall_wire_out_bytes").add(777);
-        let frame2 = metrics_frame(&counts, &reg2.snapshot(), &[], 9.0);
+        let frame2 = metrics_frame(&counts, &reg2.snapshot(), 9.0);
         assert_eq!(stripped, cst_telemetry::strip_wall_fields(&frame2));
         // The validator rejects shape violations.
         assert!(validate_metrics_frame("{\"type\":\"metrics\"}").is_err());
         assert!(validate_metrics_frame(&frame.replace("\"proto\":1", "\"proto\":2")).is_err());
         let reordered = frame.replace(",\"wall_uptime_ms\":", ",\"zzz\":1,\"wall_uptime_ms\":");
         validate_metrics_frame(&reordered).expect("det key before wall tail is fine");
-        let trailing_det = format!("{},\"late\":1}}", frame.trim_end_matches('}'));
+        let trailing_det = format!("{},\"late\":1}}", frame.strip_suffix('}').unwrap());
         assert!(validate_metrics_frame(&trailing_det)
             .unwrap_err()
             .contains("appears after a wall field"));

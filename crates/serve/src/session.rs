@@ -278,12 +278,6 @@ pub fn run_session(
     if let Some(token) = cancel {
         eval.set_cancel_token(token);
     }
-    // Daemon workers run many sessions per process, often on the same
-    // (stencil, arch): share the sim-level record cache across them. The
-    // shared memo holds no observable state (the journal's memo counters
-    // come from the evaluator's serial commit path), so identical requests
-    // still produce byte-identical streams — sharing only saves recompute.
-    eval.enable_shared_memo();
     eval.set_telemetry(tel);
     let baseline_ms = eval.sim().kernel_time_ms(&Setting::baseline());
     let outcome = tuner.tune_with_telemetry(&mut eval, req.seed, tel)?;

@@ -1,6 +1,6 @@
 //! Process-wide operational metrics: monotonic counters, gauges and
 //! log₁₀-bucket histograms for the *serving* plane (daemon, campaign
-//! executor, shared memo) — as opposed to the per-run journal, which
+//! executor) — as opposed to the per-run journal, which
 //! records one tuning run's deterministic history.
 //!
 //! Design rules, in force everywhere a metric is touched:
@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version stamped into every metrics snapshot as `metrics_version`.
 /// Bump when a section or required field changes incompatibly.
-pub const METRICS_VERSION: u64 = 1;
+pub const METRICS_VERSION: u64 = 2;
 
 /// A monotonic counter. Cloning shares the underlying cell.
 #[derive(Clone)]

@@ -4,7 +4,7 @@
 //! come back as a clean `Err` — the parser sits on the `cstuner report`
 //! path, so a hostile journal line must never panic the CLI.
 
-use cst_telemetry::json::{parse, write_escaped, Value};
+use cst_telemetry::json::{parse, write_escaped, Value, MAX_DEPTH};
 
 #[test]
 fn escaped_quotes_and_backslashes_round_trip() {
@@ -28,7 +28,10 @@ fn escaped_quotes_and_backslashes_round_trip() {
 
 #[test]
 fn unicode_strings_round_trip() {
-    for original in ["héllo wörld", "日本語テキスト", "emoji 🜁🜂", "mix \u{1} ünïcode\n"]
+    // The long input alternates plain runs with escapes and multi-byte
+    // characters, so run boundaries land next to every kind of byte.
+    let long = ["plain run ", "ünïcödé 日本 🜁 ", "quote \" and \\ ", "\n"].repeat(1_000).concat();
+    for original in ["héllo wörld", "日本語テキスト", "emoji 🜁🜂", "mix \u{1} ünïcode\n", &long]
     {
         let mut buf = String::new();
         write_escaped(&mut buf, original);
@@ -64,6 +67,19 @@ fn deeply_nested_objects_and_arrays_parse() {
         v = v.get("k").and_then(|a| a.as_arr()).map(|a| a[0].clone()).unwrap();
     }
     assert_eq!(v.as_f64(), Some(1.0));
+}
+
+#[test]
+fn hostile_nesting_is_a_clean_err_not_a_stack_overflow() {
+    for open in ["[", "{\"k\":"] {
+        let err = parse(&open.repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+    // The cap itself still parses; one level more does not.
+    let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    assert!(parse(&at_cap).is_ok());
+    let over = format!("[{at_cap}]");
+    assert!(parse(&over).unwrap_err().contains("nesting deeper than"));
 }
 
 #[test]

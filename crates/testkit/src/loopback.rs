@@ -43,13 +43,7 @@ impl LoopbackServer {
         archive: Option<PathBuf>,
         run_workers: bool,
     ) -> LoopbackServer {
-        let cfg = ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers,
-            queue_depth,
-            archive,
-            memo_cap: None,
-        };
+        let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), workers, queue_depth, archive };
         let handle = if run_workers { Server::spawn(&cfg) } else { Server::spawn_paused(&cfg) }
             .expect("loopback daemon binds");
         let addr = handle.addr.to_string();

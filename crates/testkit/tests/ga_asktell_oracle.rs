@@ -10,8 +10,9 @@
 //! golden fixtures.
 //!
 //! The fault-injection CI leg (`CST_FORCE_LANES=4 CST_FAULT_SEED=7`)
-//! reruns this binary with forced batch lanes, so lane-width variants of
-//! the same equivalence are covered without extra code here.
+//! reruns this binary with a forced multi-lane pool and ambient faults,
+//! so those variants of the same equivalence are covered without extra
+//! code here.
 
 use cst_baselines::OpenTunerGa;
 use cst_gpu_sim::{FaultProfile, GpuArch};

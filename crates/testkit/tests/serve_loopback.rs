@@ -109,49 +109,18 @@ fn concurrent_identical_requests_stream_identically() {
 }
 
 #[test]
-fn concurrent_sessions_share_the_process_memo() {
-    // (cheby, v100) is this test's private registry key: no other test in
-    // this binary tunes that pair, so the shared memo's counters are ours.
-    let req = TuneRequest::build(
-        Some("cheby"),
-        Some("v100"),
-        None,
-        Some(3),
-        Some(6.0),
-        true,
-        Some(FaultSpec::Off),
-    )
-    .unwrap();
-    let spec = cst_stencil::spec_by_name("cheby").unwrap();
-    let arch = cst_gpu_sim::GpuArch::by_name("v100").unwrap();
-    let memo = cst_gpu_sim::registry::shared_memo(&spec, &arch);
-
+fn hostile_nesting_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    // A request line of 200,000 `[` once overflowed the connection
+    // thread's stack and aborted the daemon. It must get a one-frame
+    // `error` reply instead, and the next request must be served.
     let server = LoopbackServer::start(2, 4);
-    let first = server.tune(&req);
-    assert!(first.last().unwrap().contains("\"state\":\"done\""));
-    let after_first = memo.stats();
-    let len_first = memo.len();
-    assert!(len_first > 0, "first session must populate the shared memo");
+    let reply = server.raw(&"[".repeat(200_000));
+    assert_eq!(reply.len(), 1, "an error is the whole reply: {reply:#?}");
+    assert_eq!(proto::frame_type(&reply[0]).as_deref(), Some("error"), "{}", reply[0]);
+    assert!(reply[0].contains("nesting deeper than"), "{}", reply[0]);
 
-    // Two more sessions, same request, running concurrently: every record
-    // they need is already cached, so the memo neither grows nor recomputes
-    // — it only serves hits, from both sessions at once.
-    let (b, c) = std::thread::scope(|s| {
-        let tb = s.spawn(|| server.tune(&req));
-        let tc = s.spawn(|| server.tune(&req));
-        (tb.join().unwrap(), tc.join().unwrap())
-    });
-    let after = memo.stats();
-    assert_eq!(memo.len(), len_first, "warm sessions must not grow the memo");
-    assert_eq!(after.misses, after_first.misses, "warm sessions must not recompute");
-    assert!(after.hits > after_first.hits, "warm sessions must hit the shared cache");
-
-    // Sharing is invisible in the results: all three streams are identical.
-    let (ja, _) = split_stream(&first);
-    let (jb, _) = split_stream(&b);
-    let (jc, _) = split_stream(&c);
-    assert_eq!(strip(&ja), strip(&jb), "shared memo changed a session stream");
-    assert_eq!(strip(&jb), strip(&jc), "concurrent warm sessions diverged");
+    let frames = server.tune(&quick_req(3));
+    assert!(frames.last().unwrap().contains("\"state\":\"done\""), "{frames:#?}");
     server.shutdown();
 }
 
@@ -199,10 +168,6 @@ fn kernel_tuner_request_streams_and_gates_cleanly() {
 
 #[test]
 fn metrics_frame_is_deterministic_and_validates() {
-    // (rhs4center, v100) is this test's private registry key within this
-    // binary; the shared-memo rows are wall-class and stripped from the
-    // golden anyway, but keeping the pair private makes the full frame
-    // inspectable too.
     let server = LoopbackServer::start(2, 4);
     let req = TuneRequest::build(
         Some("rhs4center"),

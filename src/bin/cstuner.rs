@@ -25,7 +25,7 @@
 //! cstuner campaign status <spec.json> [--store DIR]
 //! cstuner campaign report <spec.json> [--store DIR] [--json] [--save FILE]
 //! cstuner campaign gate <spec.json> --baseline DIR [--store DIR] [--save FILE]
-//! cstuner serve [--addr HOST:PORT] [--workers N] [--queue N] [--archive DIR] [--memo-cap N]
+//! cstuner serve [--addr HOST:PORT] [--workers N] [--queue N] [--archive DIR]
 //! cstuner client tune   [--addr HOST:PORT] [tune flags]     # tune via a daemon
 //! cstuner client status [--session N] [--addr HOST:PORT]    # one session, or all
 //! cstuner client watch  --session N [--addr HOST:PORT] [--journal FILE]
@@ -746,14 +746,13 @@ fn cmd_campaign(args: &[String]) {
 /// `cstuner serve`: run the tuning-as-a-service daemon in the
 /// foreground until a client sends `shutdown`.
 fn cmd_serve(flags: &HashMap<String, String>) {
-    check_flags("serve", flags, &["addr", "workers", "queue", "archive", "memo-cap"]);
+    check_flags("serve", flags, &["addr", "workers", "queue", "archive"]);
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         addr: flags.get("addr").cloned().unwrap_or(defaults.addr),
         workers: flag_u64(flags, "workers").map(|w| w as usize).unwrap_or(defaults.workers),
         queue_depth: flag_u64(flags, "queue").map(|q| q as usize).unwrap_or(defaults.queue_depth),
         archive: flags.get("archive").filter(|p| !p.is_empty()).map(std::path::PathBuf::from),
-        memo_cap: flag_u64(flags, "memo-cap").map(|c| c as usize),
     };
     let server = Server::bind(&cfg).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -1001,23 +1000,6 @@ fn render_metrics_frame(frame: &str) -> String {
     metrics_hist_section(&mut out, &v, "hists", "histograms");
     metrics_kv_section(&mut out, &v, "wall_counters", "wall counters");
     metrics_hist_section(&mut out, &v, "wall_hists", "request latency (wall ms)");
-    if let Some(rows) = v.get("wall_memo").and_then(Value::as_arr) {
-        if !rows.is_empty() {
-            let _ = writeln!(out, "shared memo:");
-            for m in rows {
-                let _ = writeln!(
-                    out,
-                    "  {:<28} hits {:>8}  misses {:>8}  evictions {:>6}  entries {:>8} (cap {})",
-                    format!("{}/{}", json_str(m, "stencil"), json_str(m, "arch")),
-                    json_u64(m, "hits"),
-                    json_u64(m, "misses"),
-                    json_u64(m, "evictions"),
-                    json_u64(m, "entries"),
-                    json_u64(m, "cap")
-                );
-            }
-        }
-    }
     out
 }
 

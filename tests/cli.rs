@@ -74,6 +74,16 @@ fn client_flags_are_validated_before_connecting() {
 }
 
 #[test]
+fn serve_rejects_the_removed_record_cache_flag() {
+    // The daemon has no record memo to bound; the old flag must be
+    // refused before anything binds, not silently ignored.
+    let out = cstuner(&["serve", "--memo-cap", "5"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag `--memo-cap` for `cstuner serve`"), "{err}");
+}
+
+#[test]
 fn unknown_tuner_names_are_rejected_with_a_did_you_mean_hint() {
     let out = cstuner(&["tune", "--quick", "--tuner", "anneel"]);
     assert_eq!(out.status.code(), Some(2));
